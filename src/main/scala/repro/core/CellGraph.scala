@@ -35,8 +35,7 @@ final class ConnCtx(
     val coreLo: Array[Array[Double]],  // bbox of each cell's core points (null if none)
     val coreHi: Array[Array[Double]],
     val coreQt: Array[QuadTree],       // per-core-cell quadtree over core points (null unless qt/approx)
-    val sortedBy0: Array[Array[Pt]],   // core points sorted by axis 0 (null unless usec)
-    val sortedBy1: Array[Array[Pt]],
+    val sorted: Array[Array[Array[Pt]]], // per cell and axis: core points sorted on it (null unless usec)
 ) extends Serializable
 
 object ConnCtx {
@@ -45,14 +44,14 @@ object ConnCtx {
   def build(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
             method: GraphMethod, par: Int = 0): ConnCtx = {
     val idx = bcIdx.value
-    val flags = bcFlags.value
     val m = idx.numCells
     val coreCount = new Array[Int](m)
     val coreLo = new Array[Array[Double]](m)
     val coreHi = new Array[Array[Double]](m)
+    def corePts(c: Int): Array[Pt] = bcIdx.value.pts(c).filter(p => bcFlags.value(p.id.toInt))
     var c = 0
     while (c < m) {
-      val cps = idx.pts(c).filter(p => flags(p.id.toInt))
+      val cps = corePts(c)
       coreCount(c) = cps.length
       if (cps.nonEmpty) {
         val bb = BBox.of(cps)
@@ -61,44 +60,24 @@ object ConnCtx {
       c += 1
     }
     val coreCells = (0 until m).filter(coreCount(_) > 0)
-    val p = if (par > 0) par else sc.defaultParallelism
-    val parts = Par.parts(coreCells.size, p)
-
-    val qts = method match {
-      case QtGraph | ApproxGraph(_) =>
-        val minSide = method match {
-          case ApproxGraph(rho) => rho * idx.cellSide // ρ·ε/√d
-          case _                => 0.0
-        }
-        val built = sc.parallelize(coreCells, parts).map { c =>
-          val i = bcIdx.value
-          val cps = i.pts(c).filter(p => bcFlags.value(p.id.toInt))
-          val qt =
-            if (minSide > 0) QuadTree.buildApprox(cps, i.qtLo(c), i.cellSide, minSide)
-            else QuadTree.build(cps, i.qtLo(c), i.cellSide)
-          (c, qt)
-        }.collect()
-        val arr = new Array[QuadTree](m)
-        built.foreach { case (c, qt) => arr(c) = qt }
-        arr
-      case _ => null
+    // minSide 0 builds the exact tree.
+    def coreTrees(minSide: Double): Array[QuadTree] = Par.perCell(sc, coreCells, m, par) { c =>
+      val i = bcIdx.value
+      QuadTree.buildApprox(corePts(c), i.qtLo(c), i.cellSide, minSide)
     }
 
-    val (s0, s1) = method match {
+    val (qts, sorted) = method match {
+      case QtGraph          => (coreTrees(0.0), null)
+      case ApproxGraph(rho) => (coreTrees(rho * idx.cellSide), null) // ρ·ε/√d
       case UsecGraph =>
         require(idx.d == 2, "USEC cell graph is 2D-only")
-        val built = sc.parallelize(coreCells, parts).map { c =>
-          val i = bcIdx.value
-          val cps = i.pts(c).filter(p => bcFlags.value(p.id.toInt))
-          (c, cps.sortBy(_.x(0)), cps.sortBy(_.x(1)))
-        }.collect()
-        val a0 = new Array[Array[Pt]](m); val a1 = new Array[Array[Pt]](m)
-        built.foreach { case (c, by0, by1) => a0(c) = by0; a1(c) = by1 }
-        (a0, a1)
+        (null, Par.perCell(sc, coreCells, m, par) { c =>
+          val cps = corePts(c)
+          Array(cps.sortBy(_.x(0)), cps.sortBy(_.x(1)))
+        })
       case _ => (null, null)
     }
-
-    new ConnCtx(coreCount, coreLo, coreHi, qts, s0, s1)
+    new ConnCtx(coreCount, coreLo, coreHi, qts, sorted)
   }
 }
 
@@ -108,10 +87,9 @@ object CellGraph {
   /** Should core cells g and h be linked in the cell graph? */
   def connected(idx: CellIndex, ctx: ConnCtx, method: GraphMethod, g: Int, h: Int,
                 flags: Array[Boolean]): Boolean = method match {
-    case BcpGraph       => bcpConnected(idx, ctx, g, h, flags)
-    case QtGraph        => qtConnected(idx, ctx, g, h, flags, rho = 0.0)
-    case ApproxGraph(r) => qtConnected(idx, ctx, g, h, flags, rho = r)
-    case UsecGraph      => usecConnected(idx, ctx, g, h)
+    case BcpGraph                 => bcpConnected(idx, ctx, g, h, flags)
+    case QtGraph | ApproxGraph(_) => qtConnected(idx, ctx, g, h, flags)
+    case UsecGraph                => usecConnected(idx, ctx, g, h)
     case DelaunayGraph  =>
       throw new IllegalArgumentException("Delaunay builds the whole graph at once")
   }
@@ -153,17 +131,13 @@ object CellGraph {
     * connected iff some core point of one cell has a non-zero (approximate)
     * count in the other (paper §5.2). Queries from the smaller cell. */
   def qtConnected(idx: CellIndex, ctx: ConnCtx, g: Int, h: Int,
-                  flags: Array[Boolean], rho: Double): Boolean = {
+                  flags: Array[Boolean]): Boolean = {
     val (qSide, tSide) = if (ctx.coreCount(g) <= ctx.coreCount(h)) (g, h) else (h, g)
     val queries = filteredCore(idx, ctx, qSide, tSide, flags)
     val qt = ctx.coreQt(tSide)
-    val eps = idx.eps
     var i = 0
     while (i < queries.length) {
-      val hit =
-        if (rho > 0) qt.approxExists(queries(i).x, eps, rho)
-        else qt.existsWithin(queries(i).x, eps)
-      if (hit) return true
+      if (qt.existsWithin(queries(i).x, idx.eps)) return true
       i += 1
     }
     false
@@ -183,8 +157,8 @@ object CellGraph {
       if (gHi(0) < hLo(0) || hHi(0) < gLo(0)) 0
       else 1
     val scanAxis = 1 - sepAxis
-    val a = if (scanAxis == 0) ctx.sortedBy0(g) else ctx.sortedBy1(g)
-    val b = if (scanAxis == 0) ctx.sortedBy0(h) else ctx.sortedBy1(h)
+    val a = ctx.sorted(g)(scanAxis)
+    val b = ctx.sorted(h)(scanAxis)
     val eps = idx.eps
     var jLo = 0
     var i = 0

@@ -129,11 +129,18 @@ object CellIndex {
   /** Cell side length ε/√d (diagonal exactly ε). */
   def sideFor(eps: Double, d: Int): Double = eps / math.sqrt(d.toDouble)
 
-  /** Integer grid key of a point. */
+  /** Integer grid key of a point. Fails on a non-finite coordinate or a cell
+    * index outside the `Int` range, which `toInt` would clamp, merging cells
+    * far apart. */
   def gridKey(x: Array[Double], side: Double): Vector[Int] = {
     val k = new Array[Int](x.length)
     var j = 0
-    while (j < x.length) { k(j) = math.floor(x(j) / side).toInt; j += 1 }
+    while (j < x.length) {
+      val f = math.floor(x(j) / side)
+      require(f >= Int.MinValue && f <= Int.MaxValue, // false for NaN too
+        s"coordinate ${x(j)} is not finite or its cell index exceeds the Int range at side $side")
+      k(j) = f.toInt; j += 1
+    }
     k.toVector
   }
 
@@ -204,11 +211,15 @@ object CellIndex {
       .groupByKey()
       .mapValues(_.toArray)
       .collect()
+    bcStrips.destroy(); bcY.destroy()
     finalize(grouped.map(_._2), grouped.map(_._1), eps, side, d, points.sparkContext)
   }
 
-  /** Starts of consecutive intervals of width `side` over sorted values. */
+  /** Starts of consecutive intervals of width `side` over sorted values,
+    * which must be finite (a sort puts NaN last). */
   private def boundaries(sorted: Array[Double], side: Double): Array[Double] = {
+    require(sorted.isEmpty || (sorted(0) > Double.NegativeInfinity &&
+      sorted.last < Double.PositiveInfinity), "box cells need finite coordinates")
     val out = scala.collection.mutable.ArrayBuffer[Double]()
     var i = 0
     while (i < sorted.length) {
@@ -249,41 +260,22 @@ object CellIndex {
       n += cells(c).length
       c += 1
     }
-    // Neighbor lookup: centers within eps + maxDiag cover every cell pair
-    // with bbox distance ≤ eps; exact-filter afterwards.
-    val centers = Array.tabulate(m) { i =>
-      val ctr = new Array[Double](d)
-      var j = 0; while (j < d) { ctr(j) = (lo(i)(j) + hi(i)(j)) / 2; j += 1 }
-      Pt(i, ctr)
-    }
-    val tree = KDTree.build(centers)
+    // Neighbor lookup, one parallel query per cell: centers within
+    // eps + maxDiag cover every cell pair with bbox distance ≤ eps;
+    // exact-filter afterwards.
+    val tree = KDTree.build(Array.tabulate(m)(i => Pt(i, BBox(lo(i), hi(i)).center)))
     val e2 = eps * eps
     val r = eps + maxDiag
-    def neighborsOf(tr: KDTree, loA: Array[Array[Double]], hiA: Array[Array[Double]],
-                    ctr: Array[Pt])(i: Int): Array[Int] = {
+    val bc = sc.broadcast((tree, lo, hi))
+    val neighbors = Par.perCell(sc, 0 until m, m, 0) { i =>
+      val (tr, loA, hiA) = bc.value
       val bb = BBox(loA(i), hiA(i))
-      tr.within(ctr(i).x, r)
+      tr.within(bb.center, r)
         .map(_.id.toInt)
         .filter(j => j != i && bb.minSqDist(BBox(loA(j), hiA(j))) <= e2)
         .sorted
     }
-    // Per-cell neighbor queries are embarrassingly parallel; for large cell
-    // counts run them as a Spark map (the driver-sequential version is the
-    // bottleneck on datasets where every noise point is its own cell).
-    val neighbors: Array[Array[Int]] =
-      if (m < 4096) Array.tabulate(m)(neighborsOf(tree, lo, hi, centers))
-      else {
-        val bcTree = sc.broadcast(tree)
-        val bcLo = sc.broadcast(lo); val bcHi = sc.broadcast(hi)
-        val bcCenters = sc.broadcast(centers)
-        val out = new Array[Array[Int]](m)
-        sc.parallelize(0 until m, math.max(1, sc.defaultParallelism * 4))
-          .map(i => (i, neighborsOf(bcTree.value, bcLo.value, bcHi.value, bcCenters.value)(i)))
-          .collect()
-          .foreach { case (i, nb) => out(i) = nb }
-        Seq(bcTree, bcLo, bcHi, bcCenters).foreach(_.destroy())
-        out
-      }
+    bc.destroy()
     new CellIndex(eps, side, d, n, keys, lo, hi, cells, neighbors)
   }
 }

@@ -31,7 +31,7 @@ object ClusterCore {
   /** Returns (component id per cell, -1 for non-core cells; stats). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcCtx: Broadcast[ConnCtx], method: GraphMethod, bucketing: Boolean,
-          numBuckets: Int = 32, par: Int = 0): (Array[Int], GraphStats) = {
+          numBuckets: Int, par: Int = 0): (Array[Int], GraphStats) = {
     val idx = bcIdx.value
     val ctx = bcCtx.value
     val m = idx.numCells
@@ -142,6 +142,7 @@ object ClusterCore {
         if (cl(a) != cl(b) && dx * dx + dy * dy <= eps2) Iterator.single((cl(a), cl(b)))
         else Iterator.empty
       }.distinct().collect()
+      Seq(bcPx, bcPy, bcCell).foreach(_.destroy())
       edgeCount = hits.length
       hits.foreach { case (g, h) => uf.union(g, h) }
     }

@@ -1,8 +1,11 @@
 package repro.core
 
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.geometry.QuadTree
+
+import scala.reflect.ClassTag
 
 /** Full configuration of one DBSCAN run — the cross product of the paper's
   * implementation variants (§7.1). */
@@ -15,25 +18,7 @@ final case class DBSCANConfig(
     bucketing: Boolean = false,
     numBuckets: Int = 8,
     parallelism: Int = 0, // 0 = sc.defaultParallelism; the "thread count" knob
-) {
-  /** Paper-style name of this variant, e.g. "our-exact-qt-bucketing". */
-  def name: String = {
-    val cells = cellMethod match { case GridCells => "grid"; case BoxCells => "box" }
-    val base = graphMethod match {
-      case BcpGraph                          => if (coreMethod == QtCore) "exact-qt" else "exact"
-      case QtGraph                           => if (coreMethod == QtCore) "exact-qt" else "exact-qtgraph"
-      case ApproxGraph(_)                    => if (coreMethod == QtCore) "approx-qt" else "approx"
-      case UsecGraph                         => s"2d-$cells-usec"
-      case DelaunayGraph                     => s"2d-$cells-delaunay"
-    }
-    val pre = graphMethod match {
-      case UsecGraph | DelaunayGraph => s"our-$base"
-      case BcpGraph if cellMethod == BoxCells => s"our-2d-box-bcp"
-      case _ => s"our-$base"
-    }
-    if (bucketing) s"$pre-bucketing" else pre
-  }
-}
+)
 
 object DBSCANConfig {
   /** our-exact: scan-based MarkCore + BCP cell graph. */
@@ -85,6 +70,18 @@ object Par {
     * 4x oversubscription for load balancing. */
   def parts(work: Int, par: Int): Int =
     math.max(1, math.min(work, if (par <= 2) par else par * 4))
+
+  /** Evaluates `f` on each of `cells` as one Spark map (parallelism `par`,
+    * 0 = default) and returns an array of `m` entries holding `f(c)` at each
+    * `c` in `cells` and the default value elsewhere. */
+  def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], m: Int, par: Int)
+                          (f: Int => T): Array[T] = {
+    val p = if (par > 0) par else sc.defaultParallelism
+    val out = new Array[T](m)
+    sc.parallelize(cells, parts(cells.size, p)).map(c => (c, f(c))).collect()
+      .foreach { case (c, v) => out(c) = v }
+    out
+  }
 }
 
 /** Top-level parallel DBSCAN driver (paper Alg. 1). */

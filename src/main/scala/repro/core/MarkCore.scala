@@ -19,17 +19,10 @@ object MarkCore {
   def buildCellQuadTrees(sc: SparkContext, bcIdx: Broadcast[CellIndex],
                          par: Int = 0): Array[QuadTree] = {
     val m = bcIdx.value.numCells
-    val p = if (par > 0) par else sc.defaultParallelism
-    val built = sc
-      .parallelize(0 until m, Par.parts(m, p))
-      .map { c =>
-        val idx = bcIdx.value
-        (c, QuadTree.build(idx.pts(c), idx.qtLo(c), idx.cellSide))
-      }
-      .collect()
-    val out = new Array[QuadTree](m)
-    built.foreach { case (c, qt) => out(c) = qt }
-    out
+    Par.perCell(sc, 0 until m, m, par) { c =>
+      val idx = bcIdx.value
+      QuadTree.build(idx.pts(c), idx.qtLo(c), idx.cellSide)
+    }
   }
 
   /** Returns the core flag for every point id in [0, n). */

@@ -11,10 +11,9 @@ import repro.core.{Dist, Pt}
   * once the side length drops to `minSide = ρ·ε/√d` (paper depth bound
   * `l = 1 + ⌈log2 1/ρ⌉`).
   *
-  * Approximate queries add a whole node's count once its box is contained in
-  * the `ε(1+ρ)`-ball, and add small leaves (side ≤ minSide, diagonal ≤ ερ)
-  * wholesale; leaves that stopped early on `leafSize` are scanned exactly, so
-  * the returned count always lies between the ε-count and the ε(1+ρ)-count.
+  * On the approximate tree an existence query answers a small leaf (side ≤
+  * minSide, diagonal ≤ ερ) that meets the ε-ball by its count, without
+  * scanning it; leaves that stopped early on `leafSize` are scanned exactly.
   */
 final class QuadTree private (root: QuadTree.Node, val minSide: Double) extends Serializable {
 
@@ -39,71 +38,24 @@ final class QuadTree private (root: QuadTree.Node, val minSide: Double) extends 
     go(root)
   }
 
-  /** True iff some point lies within `eps` of `q`; early exit. */
+  /** True iff some point lies within `eps` of `q`, with early exit. On an
+    * approximate tree a leaf of side ≤ `minSide` that meets the ε-ball counts
+    * as a hit, so true implies a point within ε(1+ρ) and false implies none
+    * within ε. `minSide` is 0 for exact trees, which makes the answer exact. */
   def existsWithin(q: Array[Double], eps: Double): Boolean = {
     val e2 = eps * eps
     def go(nd: QuadTree.Node): Boolean = {
-      val mn = nd.minSqDistTo(q)
-      if (mn > e2) false
+      if (nd.minSqDistTo(q) > e2) false
       else if (nd.maxSqDistTo(q) <= e2) nd.count > 0
       else nd match {
         case l: QuadTree.Leaf =>
+          if (l.side <= minSide) return l.count > 0
           var i = 0
           while (i < l.pts.length) {
             if (Dist.sq(l.pts(i).x, q) <= e2) return true
             i += 1
           }
           false
-        case in: QuadTree.Inner =>
-          var i = 0
-          while (i < in.kids.length) { if (go(in.kids(i))) return true; i += 1 }
-          false
-      }
-    }
-    go(root)
-  }
-
-  /** ρ-approximate count: result c satisfies count(ε) <= c <= count(ε(1+ρ)). */
-  def approxCount(q: Array[Double], eps: Double, rho: Double): Int = {
-    val e2 = eps * eps
-    val eOut2 = eps * (1 + rho) * eps * (1 + rho)
-    def go(nd: QuadTree.Node): Int = {
-      if (nd.minSqDistTo(q) > e2) 0
-      else if (nd.maxSqDistTo(q) <= eOut2) nd.count
-      else nd match {
-        case l: QuadTree.Leaf =>
-          if (l.side <= minSide) l.count // diag <= ερ, box intersects ε-ball
-          else {
-            var c = 0; var i = 0
-            while (i < l.pts.length) { if (Dist.sq(l.pts(i).x, q) <= e2) c += 1; i += 1 }
-            c
-          }
-        case in: QuadTree.Inner =>
-          var c = 0; var i = 0
-          while (i < in.kids.length) { c += go(in.kids(i)); i += 1 }
-          c
-      }
-    }
-    go(root)
-  }
-
-  /** Approximate-count > 0, with early exit: true implies a point within
-    * ε(1+ρ); false implies no point within ε. */
-  def approxExists(q: Array[Double], eps: Double, rho: Double): Boolean = {
-    val e2 = eps * eps
-    def go(nd: QuadTree.Node): Boolean = {
-      if (nd.minSqDistTo(q) > e2) false
-      else nd match {
-        case l: QuadTree.Leaf =>
-          if (l.side <= minSide) l.count > 0
-          else {
-            var i = 0
-            while (i < l.pts.length) {
-              if (Dist.sq(l.pts(i).x, q) <= e2) return true
-              i += 1
-            }
-            false
-          }
         case in: QuadTree.Inner =>
           var i = 0
           while (i < in.kids.length) { if (go(in.kids(i))) return true; i += 1 }
@@ -147,7 +99,7 @@ object QuadTree {
 
   /** Exact-query tree for a cell with corner `lo` and side `side`. */
   def build(pts: Array[Pt], lo: Array[Double], side: Double, leafSize: Int = 16): QuadTree =
-    new QuadTree(buildNode(pts, lo, side, 0.0, leafSize), 0.0)
+    buildApprox(pts, lo, side, 0.0, leafSize)
 
   /** Approximate-query tree: splits until side <= ρ·side0·? — callers pass
     * `minSide = ρ·ε/√d` directly (root side is ε/√d for grid cells). */

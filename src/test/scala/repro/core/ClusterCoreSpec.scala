@@ -17,7 +17,7 @@ class ClusterCoreSpec extends SparkSpec {
     val bcFlags = sc.broadcast(flags)
     val ctx = ConnCtx.build(sc, bcIdx, bcFlags, method)
     val bcCtx = sc.broadcast(ctx)
-    val (comp, stats) = ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, method, bucketing)
+    val (comp, stats) = ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, method, bucketing, numBuckets = 8)
     // Canonical rep per component = min core point id.
     val cellOfPoint = new Array[Int](pts.length)
     for (c <- 0 until idx.numCells; p <- idx.pts(c)) cellOfPoint(p.id.toInt) = c
@@ -76,7 +76,8 @@ class ClusterCoreSpec extends SparkSpec {
     val bcFlags = sc.broadcast(flags)
     val ctx = ConnCtx.build(sc, bcIdx, bcFlags, ApproxGraph(rho))
     val bcCtx = sc.broadcast(ctx)
-    val (comp, _) = ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, ApproxGraph(rho), bucketing = false)
+    val (comp, _) = ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, ApproxGraph(rho), bucketing = false,
+      numBuckets = 8)
     val cellOfPoint = new Array[Int](pts.length)
     for (c <- 0 until idx.numCells; p <- idx.pts(c)) cellOfPoint(p.id.toInt) = c
     // Sandwich on the core partition.

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestUtil}
+import repro.baselines.NaiveDBSCAN
 
 /** Grid cell construction (paper §4.1) — DataFrame assignment vs DuckDB, and
   * the CellIndex invariants every later stage relies on. */
@@ -65,6 +66,34 @@ class GridSpec extends SparkSpec {
     assert(cellOf(pts(2)) === Vector(0, 0))
     assert(cellOf(pts(3)) === Vector(-1, -1))
     assert(keyOf.size === idx.numCells)
+  }
+
+  /** Whether `t` or one of its causes is an IllegalArgumentException. */
+  private def causedByBadInput(t: Throwable): Boolean =
+    Iterator.iterate(t)(_.getCause).takeWhile(_ != null).exists(_.isInstanceOf[IllegalArgumentException])
+
+  test("cell indices beyond the Int range fail instead of merging far-apart points") {
+    val pts = Array(Pt(0, Array(3e9, 0.0)), Pt(1, Array(4e9, 0.0)))
+    val want = NaiveDBSCAN.run(pts, 1.0, 2)
+    assert(want.numClusters === 0 && want.numNoise === 2)
+    val err = intercept[Exception] {
+      DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2, DBSCANConfig.exact(1.0, 2))
+    }
+    assert(causedByBadInput(err), err)
+  }
+
+  test("a NaN coordinate fails on grid and box cells") {
+    for {
+      bad <- Seq(Array(Double.NaN, 0.5), Array(0.5, Double.NaN))
+      cells <- Seq(GridCells, BoxCells)
+    } {
+      val pts = Array(Pt(0, Array(0.0, 0.0)), Pt(1, bad), Pt(2, Array(0.5, 0.5)))
+      val err = intercept[Exception] {
+        DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2,
+          DBSCANConfig(1.0, 2, cellMethod = cells))
+      }
+      assert(causedByBadInput(err), s"$cells ${bad.mkString(",")}: $err")
+    }
   }
 
   test("empty and singleton inputs") {

@@ -45,11 +45,9 @@ class QuadTreeSpec extends AnyFunSuite {
     val rnd = new SplittableRandom(seed * 77)
     for (_ <- 0 until 60) {
       val q = Array.fill(d)(rnd.nextDouble() * 3 * side - side)
-      val c = qt.approxCount(q, eps, rho)
       val lo = bruteCount(pts, q, eps)
       val hi = bruteCount(pts, q, eps * (1 + rho))
-      assert(c >= lo && c <= hi, s"approx count $c outside [$lo, $hi]")
-      val ex = qt.approxExists(q, eps, rho)
+      val ex = qt.existsWithin(q, eps)
       if (lo > 0) assert(ex)
       if (hi == 0) assert(!ex)
     }
