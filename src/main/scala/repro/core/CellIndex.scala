@@ -5,6 +5,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.geometry.KDTree
 
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
+
 /** The cell structure shared by every algorithm variant (paper Alg. 1 line 2).
   *
   * Holds, per non-empty cell: its key, its tight bounding box, its points,
@@ -15,10 +17,13 @@ import repro.geometry.KDTree
   * one cell are within ε of each other — the invariant both MarkCore's
   * all-core shortcut and ClusterCore's cell graph rely on.
   *
-  * The index is built distributed (cell assignment + grouping runs as a Spark
-  * shuffle, playing the role of the paper's work-efficient semisort) and then
-  * broadcast, emulating shared memory on the single-node cluster: per-cell
-  * tasks get random access to any neighboring cell's points.
+  * Grid cells are built in one Spark stage with no shuffle (each partition
+  * sorts its points by cell key, playing the role of the paper's
+  * work-efficient semisort), and their neighbors found on the driver by a
+  * sweep over the sorted keys; box cells, and grid cells above d = 4, find
+  * neighbors with a k-d tree. The index is then broadcast, emulating shared
+  * memory on the single-node cluster: per-cell tasks get random access to
+  * any neighboring cell's points.
   */
 final class CellIndex(
     val eps: Double,
@@ -129,19 +134,18 @@ object CellIndex {
   /** Cell side length ε/√d (diagonal exactly ε). */
   def sideFor(eps: Double, d: Int): Double = eps / math.sqrt(d.toDouble)
 
-  /** Integer grid key of a point. Fails on a non-finite coordinate or a cell
+  /** Integer grid key of a point (see [[cellOf]]). */
+  def gridKey(x: Array[Double], side: Double): Vector[Int] =
+    Vector.tabulate(x.length)(j => cellOf(x(j), side))
+
+  /** Cell index of one coordinate. Fails on a non-finite coordinate or a cell
     * index outside the `Int` range, which `toInt` would clamp, merging cells
     * far apart. */
-  def gridKey(x: Array[Double], side: Double): Vector[Int] = {
-    val k = new Array[Int](x.length)
-    var j = 0
-    while (j < x.length) {
-      val f = math.floor(x(j) / side)
-      require(f >= Int.MinValue && f <= Int.MaxValue, // false for NaN too
-        s"coordinate ${x(j)} is not finite or its cell index exceeds the Int range at side $side")
-      k(j) = f.toInt; j += 1
-    }
-    k.toVector
+  private def cellOf(v: Double, side: Double): Int = {
+    val f = math.floor(v / side)
+    require(f >= Int.MinValue && f <= Int.MaxValue, // false for NaN too
+      s"coordinate $v is not finite or its cell index exceeds the Int range at side $side")
+    f.toInt
   }
 
   /** Catalyst-facing cell assignment: adds a `cell` array<int> column. Used
@@ -151,36 +155,183 @@ object CellIndex {
     df.withColumn("cell", array(cols.map(c => floor(col(c) / lit(side)).cast("int")): _*))
   }
 
+  /** Highest d whose grid neighbors come from the key sweep. Above it the
+    * (2r+1)^(d-1) prefix offsets per cell reach 2401, while the k-d tree
+    * visits only non-empty cells (paper §5.1). */
+  private val MaxSweepD = 4
+
   /** Grid-based construction (paper §4.1, used for all d).
     *
-    * The paper's work-efficient semisort groups points by cell id without
-    * ordering; the Spark analogue is a combiner-style shuffle: each partition
-    * pre-groups its points into primitive-packed (ids, coords) arrays per
-    * cell (PBBS's per-block histograms), then `reduceByKey` concatenates —
-    * only flat arrays cross the shuffle, never per-point objects. */
+    * One Spark stage and no shuffle: each partition sorts its points by cell
+    * key (the paper's semisort) and ships them as one flat [[Block]]; the
+    * driver merges the sorted blocks, so cells are numbered in lexicographic
+    * key order, and finds neighbors by a sweep over the sorted keys (k-d tree
+    * above [[MaxSweepD]]). */
   def grid(points: RDD[Pt], eps: Double, d: Int): CellIndex = {
     val side = sideFor(eps, d)
-    val grouped = points
-      .mapPartitions { it =>
-        val local = scala.collection.mutable.HashMap[Vector[Int],
-          (scala.collection.mutable.ArrayBuilder.ofLong, scala.collection.mutable.ArrayBuilder.ofDouble)]()
-        it.foreach { p =>
-          val (ids, cs) = local.getOrElseUpdate(gridKey(p.x, side),
-            (new scala.collection.mutable.ArrayBuilder.ofLong,
-             new scala.collection.mutable.ArrayBuilder.ofDouble))
-          ids += p.id
-          cs ++= p.x
+    val blocks = points.mapPartitions(it => Iterator.single(Block.of(it, side, d))).collect()
+    // All blocks' cells end to end: one sorted run per block, which the
+    // stable sort merges.
+    val keys = blocks.flatMap(_.keys)
+    val counts = blocks.flatMap(_.counts)
+    val ids = blocks.flatMap(_.ids)
+    val coords = blocks.flatMap(_.coords)
+    val start = counts.scanLeft(0)(_ + _)
+    val order = sortByKey(keys, d, counts.length)
+    val cellKeys = new ArrayBuilder.ofInt
+    val cells = ArrayBuffer[Array[Pt]]()
+    var i = 0
+    while (i < order.length) {
+      var j = i
+      var size = 0
+      while (j < order.length && compareKeys(keys, order(i), order(j), d) == 0) {
+        size += counts(order(j)); j += 1
+      }
+      val cell = new Array[Pt](size)
+      var f = 0
+      while (i < j) {
+        var s = start(order(i))
+        while (s < start(order(i) + 1)) {
+          cell(f) = Pt(ids(s), java.util.Arrays.copyOfRange(coords, s * d, s * d + d))
+          f += 1; s += 1
         }
-        local.iterator.map { case (k, (ids, cs)) => (k, (ids.result(), cs.result())) }
+        i += 1
       }
-      .reduceByKey { (a, b) => (a._1 ++ b._1, a._2 ++ b._2) }
-      .collect()
-    val cells = grouped.map { case (_, (ids, cs)) =>
-      Array.tabulate(ids.length) { i =>
-        Pt(ids(i), java.util.Arrays.copyOfRange(cs, i * d, i * d + d))
-      }
+      var a = 0
+      while (a < d) { cellKeys += keys(order(j - 1) * d + a); a += 1 }
+      cells += cell
     }
-    finalize(cells, grouped.map(_._1), eps, side, d, points.sparkContext)
+    val flat = cellKeys.result()
+    val sc = points.sparkContext
+    finalize(cells.toArray, Array.tabulate(cells.length)(c => Vector.tabulate(d)(a => flat(c * d + a))),
+      eps, side, d) { (lo, hi) =>
+      if (d <= MaxSweepD) sweepNeighbors(flat, lo, hi, eps, d) else kdNeighbors(sc, lo, hi, eps)
+    }
+  }
+
+  /** One partition's points grouped by cell, cells in lexicographic key
+    * order: cell i has key `keys(i*d until i*d+d)` and `counts(i)` points,
+    * whose ids and coordinates follow those of cell i-1 in `ids`/`coords`. */
+  private final case class Block(keys: Array[Int], counts: Array[Int],
+                                 ids: Array[Long], coords: Array[Double])
+
+  private object Block {
+    def of(it: Iterator[Pt], side: Double, d: Int): Block = {
+      val idB = new ArrayBuilder.ofLong
+      val xB = new ArrayBuilder.ofDouble
+      val kB = new ArrayBuilder.ofInt
+      it.foreach { p =>
+        idB += p.id
+        xB ++= p.x
+        var a = 0
+        while (a < d) { kB += cellOf(p.x(a), side); a += 1 }
+      }
+      val ids = idB.result(); val xs = xB.result(); val ks = kB.result()
+      val order = sortByKey(ks, d, ids.length)
+      val keys = new ArrayBuilder.ofInt
+      val counts = new ArrayBuilder.ofInt
+      val outIds = new Array[Long](ids.length)
+      val outXs = new Array[Double](xs.length)
+      var i = 0
+      while (i < order.length) {
+        val first = order(i)
+        var j = i
+        while (j < order.length && compareKeys(ks, first, order(j), d) == 0) {
+          outIds(j) = ids(order(j))
+          System.arraycopy(xs, order(j) * d, outXs, j * d, d)
+          j += 1
+        }
+        var a = 0
+        while (a < d) { keys += ks(first * d + a); a += 1 }
+        counts += j - i
+        i = j
+      }
+      Block(keys.result(), counts.result(), outIds, outXs)
+    }
+  }
+
+  /** Lexicographic comparison of the d-int keys at indices `a` and `b`. */
+  private def compareKeys(keys: Array[Int], a: Int, b: Int, d: Int): Int = {
+    var j = 0
+    while (j < d) {
+      val c = Integer.compare(keys(a * d + j), keys(b * d + j))
+      if (c != 0) return c
+      j += 1
+    }
+    0
+  }
+
+  /** `0 until count` ordered by the keys they index. The sort is stable
+    * (TimSort), so pre-sorted runs merge in O(count log runs). */
+  private def sortByKey(keys: Array[Int], d: Int, count: Int): Array[Int] =
+    Array.range(0, count).sorted(new Ordering[Int] {
+      def compare(a: Int, b: Int): Int = compareKeys(keys, a, b, d)
+    })
+
+  /** Neighbor lists of grid cells numbered in lexicographic key order, by a
+    * forward sweep (paper §4.1: look up the O(1) possible neighbor keys).
+    *
+    * Points whose keys differ by δ on one axis are more than (δ-1)·side
+    * apart, so |δ| ≤ ⌈√d⌉ covers every cell within ε in exact arithmetic.
+    * At square d that bound is tight (⌈√d⌉·side = ε), and the rounding of
+    * x/side can put two points at computed distance ε one cell further apart
+    * (d = 4, ε = 3.7: x = 5.55 and 9.25 land in cells 2 and 5), so the
+    * offsets run to r = ⌊√d⌋ + 1, which is ⌈√d⌉ at every other d.
+    *
+    * For each offset o of the first d-1 axes one cursor walks the cells: at
+    * cell c it moves to the first key ≥ (prefix(c) + o, last(c) - r) and
+    * scans the run up to (prefix(c) + o, last(c) + r). The targets rise with
+    * c, so each cursor only moves forward, and offsets taken in
+    * lexicographic order emit each list sorted. Key arithmetic is in Long:
+    * keys reach the Int bounds. */
+  private def sweepNeighbors(keys: Array[Int], lo: Array[Array[Double]], hi: Array[Array[Double]],
+                             eps: Double, d: Int): Array[Array[Int]] = {
+    val m = lo.length
+    val r = math.sqrt(d.toDouble).toInt + 1
+    val w = 2 * r + 1
+    val p = d - 1
+    val numOff = Iterator.fill(p)(w).product
+    // off(k*p + a): axis-a component of the k-th prefix offset.
+    val off = new Array[Int](numOff * p)
+    for (k <- 0 until numOff) {
+      var x = k
+      for (a <- p - 1 to 0 by -1) { off(k * p + a) = x % w - r; x /= w }
+    }
+    // Key j against key c shifted by prefix offset k and by `last` on the
+    // last axis.
+    def cmp(j: Int, c: Int, k: Int, last: Int): Int = {
+      var a = 0
+      while (a < d) {
+        val shift = if (a < p) off(k * p + a) else last
+        val t = java.lang.Long.compare(keys(j * d + a), keys(c * d + a).toLong + shift)
+        if (t != 0) return t
+        a += 1
+      }
+      0
+    }
+    val e2 = eps * eps
+    val cursor = new Array[Int](numOff)
+    val out = new Array[Array[Int]](m)
+    val buf = new ArrayBuilder.ofInt
+    var c = 0
+    while (c < m) {
+      val bb = BBox(lo(c), hi(c))
+      buf.clear()
+      var k = 0
+      while (k < numOff) {
+        var j = cursor(k)
+        while (j < m && cmp(j, c, k, -r) < 0) j += 1
+        cursor(k) = j
+        while (j < m && cmp(j, c, k, r) <= 0) {
+          if (j != c && bb.minSqDist(BBox(lo(j), hi(j))) <= e2) buf += j
+          j += 1
+        }
+        k += 1
+      }
+      out(c) = buf.result()
+      c += 1
+    }
+    out
   }
 
   /** Box-based construction (paper §4.2, 2D only): x-strips of width ≤ ε/√2,
@@ -212,7 +363,9 @@ object CellIndex {
       .mapValues(_.toArray)
       .collect()
     bcStrips.destroy(); bcY.destroy()
-    finalize(grouped.map(_._2), grouped.map(_._1), eps, side, d, points.sparkContext)
+    finalize(grouped.map(_._2), grouped.map(_._1), eps, side, d) { (lo, hi) =>
+      kdNeighbors(points.sparkContext, lo, hi, eps)
+    }
   }
 
   /** Starts of consecutive intervals of width `side` over sorted values,
@@ -220,7 +373,7 @@ object CellIndex {
   private def boundaries(sorted: Array[Double], side: Double): Array[Double] = {
     require(sorted.isEmpty || (sorted(0) > Double.NegativeInfinity &&
       sorted.last < Double.PositiveInfinity), "box cells need finite coordinates")
-    val out = scala.collection.mutable.ArrayBuffer[Double]()
+    val out = ArrayBuffer[Double]()
     var i = 0
     while (i < sorted.length) {
       if (out.isEmpty || sorted(i) > out.last + side) out += sorted(i)
@@ -239,30 +392,37 @@ object CellIndex {
     lo
   }
 
-  /** Shared tail: ids, tight bboxes, neighbor lists via a k-d tree over cell
-    * centers (paper §5.1 — enumeration is exponential in d, the tree finds
-    * only the non-empty neighbors). */
+  /** Shared tail: checks the point ids, computes the tight boxes, and takes
+    * the neighbor lists from `neighborsOf(lo, hi)`. */
   private def finalize(cells: Array[Array[Pt]], keys: Array[Vector[Int]],
-                       eps: Double, side: Double, d: Int,
-                       sc: org.apache.spark.SparkContext): CellIndex = {
-    val m = cells.length
-    if (m == 0)
-      return new CellIndex(eps, side, d, 0L, keys, Array.empty, Array.empty, cells, Array.empty)
-    val lo = new Array[Array[Double]](m)
-    val hi = new Array[Array[Double]](m)
-    var maxDiag = 0.0
-    var c = 0
-    var n = 0L
-    while (c < m) {
-      val bb = BBox.of(cells(c))
-      lo(c) = bb.lo; hi(c) = bb.hi
-      maxDiag = math.max(maxDiag, math.sqrt(Dist.sq(bb.lo, bb.hi)))
-      n += cells(c).length
-      c += 1
-    }
-    // Neighbor lookup, one parallel query per cell: centers within
-    // eps + maxDiag cover every cell pair with bbox distance ≤ eps;
-    // exact-filter afterwards.
+                       eps: Double, side: Double, d: Int)
+                      (neighborsOf: (Array[Array[Double]], Array[Array[Double]]) => Array[Array[Int]])
+      : CellIndex = {
+    val n = cells.map(_.length).sum
+    // Every later stage indexes plain arrays by point id (Pt): a repeated id
+    // would silently merge two points, one outside [0, n) fail mid-run.
+    val seen = new java.util.BitSet(n)
+    cells.foreach(_.foreach { p =>
+      require(p.id >= 0 && p.id < n && !seen.get(p.id.toInt),
+        s"point ids must be distinct and in [0, $n), got ${p.id} " +
+          (if (p.id >= 0 && p.id < n) "twice" else "out of range"))
+      seen.set(p.id.toInt)
+    })
+    val boxes = cells.map(BBox.of)
+    val lo = boxes.map(_.lo)
+    val hi = boxes.map(_.hi)
+    val neighbors = if (cells.isEmpty) Array.empty[Array[Int]] else neighborsOf(lo, hi)
+    new CellIndex(eps, side, d, n, keys, lo, hi, cells, neighbors)
+  }
+
+  /** Neighbor lists via a k-d tree over cell centers (paper §5.1), one
+    * parallel query per cell: centers within ε + the largest cell diagonal
+    * cover every cell pair with box distance ≤ ε; exact-filter afterwards.
+    * Used for box cells, which have no grid keys, and above [[MaxSweepD]]. */
+  private def kdNeighbors(sc: org.apache.spark.SparkContext, lo: Array[Array[Double]],
+                          hi: Array[Array[Double]], eps: Double): Array[Array[Int]] = {
+    val m = lo.length
+    val maxDiag = (0 until m).map(c => math.sqrt(Dist.sq(lo(c), hi(c)))).max
     val tree = KDTree.build(Array.tabulate(m)(i => Pt(i, BBox(lo(i), hi(i)).center)))
     val e2 = eps * eps
     val r = eps + maxDiag
@@ -276,6 +436,6 @@ object CellIndex {
         .sorted
     }
     bc.destroy()
-    new CellIndex(eps, side, d, n, keys, lo, hi, cells, neighbors)
+    neighbors
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler._
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.baselines.NaiveDBSCAN
 
@@ -21,7 +23,7 @@ class GridSpec extends SparkSpec {
   }
 
   for {
-    d <- Seq(2, 3, 7)
+    d <- Seq(1, 2, 3, 4, 5, 7)
     eps <- Seq(2.0, 8.0)
   } test(s"CellIndex invariants d=$d eps=$eps") {
     val pts = TestUtil.uniformPts(500, d, 40.0, seed = d * 7 + eps.toInt)
@@ -94,6 +96,78 @@ class GridSpec extends SparkSpec {
       }
       assert(causedByBadInput(err), s"$cells ${bad.mkString(",")}: $err")
     }
+  }
+
+  test("point ids that repeat, leave a gap or are negative fail on grid and box cells") {
+    for {
+      ids <- Seq(Seq(0L, 1L, 1L), Seq(0L, 1L, 3L), Seq(-1L, 0L, 1L))
+      cells <- Seq(GridCells, BoxCells)
+    } {
+      val pts = ids.zipWithIndex.map { case (id, i) => Pt(id, Array(i * 0.4, 0.0)) }
+      val err = intercept[Exception] {
+        DBSCAN.run(spark, spark.sparkContext.parallelize(pts, 2), 2,
+          DBSCANConfig(1.0, 2, cellMethod = cells))
+      }
+      assert(causedByBadInput(err), s"$cells ${ids.mkString(",")}: $err")
+    }
+  }
+
+  test("cells at the Int.MaxValue and Int.MinValue keys cluster as NaiveDBSCAN") {
+    for (d <- Seq(2, 3)) {
+      val eps = 1.0
+      val side = CellIndex.sideFor(eps, d)
+      // Several cells per axis, ending at key Int.MaxValue on even axes and
+      // starting at Int.MinValue on odd ones.
+      val rnd = new java.util.SplittableRandom(d)
+      val pts = Array.tabulate(50) { i =>
+        Pt(i, Array.tabulate(d) { a =>
+          val k = if (a % 2 == 0) Int.MaxValue - 5.0 else Int.MinValue.toDouble
+          (k + rnd.nextDouble() * 5.9) * side
+        })
+      }
+      val idx = CellIndex.grid(spark.sparkContext.parallelize(pts.toSeq, 3), eps, d)
+      assert(idx.keys.exists(_.contains(Int.MaxValue)) && idx.keys.exists(_.contains(Int.MinValue)))
+      val want = NaiveDBSCAN.run(pts, eps, 5)
+      assert(want.numCore > 0 && want.numCore < pts.length, s"d=$d")
+      TestUtil.assertSameClustering(
+        DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 3), d, DBSCANConfig.exact(eps, 5)),
+        want)
+    }
+  }
+
+  test("points at computed distance eps one cell past the exact offset bound are neighbors") {
+    // x / side rounds these pairs ⌈√d⌉ + 1 cells apart, while their computed
+    // distance is exactly eps.
+    for ((d, eps, a, b) <- Seq((1, 1.0, 0.9999999999999999, 2.0), (4, 3.7, 5.55, 9.25))) {
+      val pts = Array(a, b).zipWithIndex.map { case (x, i) => Pt(i, x +: Array.fill(d - 1)(0.0)) }
+      val want = NaiveDBSCAN.run(pts, eps, 2)
+      assert(want.numClusters === 1)
+      TestUtil.assertSameClustering(
+        DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), d, DBSCANConfig.exact(eps, 2)),
+        want)
+    }
+  }
+
+  test("grid cells are built in one Spark stage with no shuffle") {
+    val sc = spark.sparkContext
+    val pts = TestUtil.uniformPts(2000, 3, 100.0, seed = 11)
+    val input = sc.parallelize(pts.toSeq, 4)
+    var jobs = 0
+    var stages = 0
+    var shuffleBytes = 0L
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs += 1
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = stages += 1
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null) shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+    }
+    TestListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      CellIndex.grid(input, 5.0, 3)
+      TestListenerBus.drain(sc)
+    } finally sc.removeSparkListener(listener)
+    assert((jobs, stages, shuffleBytes) === ((1, 1, 0L)))
   }
 
   test("empty and singleton inputs") {
